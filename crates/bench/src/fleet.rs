@@ -1,5 +1,5 @@
-//! Deterministic synthetic-fleet generators shared by the mapping and
-//! admission benches.
+//! Deterministic synthetic-fleet generators shared by the harnesses and the
+//! `perfbench` workloads.
 //!
 //! The generators mirror the state footprint of the property-test models:
 //! small waits and dwells keep every exact model cheap, duplicated contents
@@ -60,55 +60,9 @@ pub fn random_profile(state: &mut u64, tag: usize) -> AppTimingProfile {
         .expect("consistent profile")
 }
 
-/// A fleet of `size` applications drawn from a pool of `pool_size` random
-/// contents, renamed per position (fingerprints ignore names): duplicated
-/// profiles appear in every adjacency pattern, asymmetric ones keep the
-/// exact tier honest.
-///
-/// # Panics
-///
-/// Panics if `pool_size` is zero.
-pub fn random_fleet(
-    state: &mut u64,
-    pool_tag: usize,
-    pool_size: usize,
-    size: usize,
-) -> Vec<AppTimingProfile> {
-    let pool: Vec<AppTimingProfile> = (0..pool_size)
-        .map(|i| random_profile(state, pool_tag * pool_size + i))
-        .collect();
-    (0..size)
-        .map(|k| {
-            let p = &pool[next_below(state, pool_size as u64) as usize];
-            AppTimingProfile::new(
-                format!("H{pool_tag}_{k}"),
-                p.jt(),
-                p.je(),
-                p.jstar(),
-                p.min_inter_arrival(),
-                p.dwell_table().clone(),
-            )
-            .expect("renamed profile stays consistent")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn generators_are_deterministic() {
-        let mut a = 0x9E37_79B9_7F4A_7C15u64;
-        let mut b = 0x9E37_79B9_7F4A_7C15u64;
-        let fleet_a = random_fleet(&mut a, 0, 3, 6);
-        let fleet_b = random_fleet(&mut b, 0, 3, 6);
-        assert_eq!(fleet_a.len(), 6);
-        for (x, y) in fleet_a.iter().zip(&fleet_b) {
-            assert_eq!(x.jstar(), y.jstar());
-            assert_eq!(x.min_inter_arrival(), y.min_inter_arrival());
-        }
-    }
 
     #[test]
     fn fleet_profile_is_consistent() {

@@ -1,15 +1,15 @@
-//! Shared experiment harness for regenerating every table and figure of the
-//! paper.
+//! Experiment harness for the paper's tables and figures, plus the engine
+//! harnesses for what the end-to-end benchmark (`perfbench/`) does not run.
 //!
-//! Each experiment has a binary (under `src/bin/`) that prints the
-//! reproduced rows/series next to the published values, and a Criterion
-//! bench (under `benches/`) that measures the cost of the underlying
-//! computation. The mapping from paper artifact to binary is listed in
-//! `DESIGN.md` and the measured-vs-published comparison is recorded in
-//! `EXPERIMENTS.md`.
+//! Each figure/table binary under `src/bin/` (`fig*`, `table*`,
+//! `verification_times`) prints the reproduced rows or series next to the
+//! published values. Beside them, `bench_reach` times the zone-graph
+//! explorer of `cps-ta`, `bench_par` sweeps pool widths, and `bench_faults`
+//! drives the fault-injection matrix. The [`fleet`] generators are shared
+//! with `perfbench`, which times the dimensioning pipeline itself.
 
 use cps_apps::case_study::{self, CaseStudyApp};
-use cps_core::{AppTimingProfile, CoreError};
+use cps_core::AppTimingProfile;
 
 pub mod fleet;
 pub mod report;
@@ -41,16 +41,6 @@ pub fn published_profiles() -> Vec<AppTimingProfile> {
                 .expect("published rows are consistent")
         })
         .collect()
-}
-
-/// Timing profiles of the case study recomputed from scratch by simulating
-/// the switched closed loops (the reproduction of Table 1).
-///
-/// # Errors
-///
-/// Propagates dwell-table computation failures.
-pub fn recomputed_profiles() -> Result<Vec<AppTimingProfile>, CoreError> {
-    case_study::all_profiles(CaseStudyApp::fast_search_options())
 }
 
 /// Renders a settling-time series as a compact text row used by the figure

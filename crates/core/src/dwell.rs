@@ -173,8 +173,7 @@ pub fn settling_surface_with_threads(
 }
 
 /// [`settling_surface_with_threads`] on an explicitly chosen linalg backend
-/// (used by the bench harness to compare the dynamic and static kernels on
-/// the same workload).
+/// (pins the dynamic or the static kernels on the same workload).
 ///
 /// # Errors
 ///
@@ -434,8 +433,8 @@ pub fn compute_dwell_table_with_threads(
 }
 
 /// [`compute_dwell_table_with_threads`] on an explicitly chosen linalg
-/// backend (used by the bench harness to compare the dynamic and static
-/// kernels on the same workload).
+/// backend (the root `tests/engine_oracle.rs` pins both the dynamic and the
+/// static kernels to [`mod@reference`] on the case study this way).
 ///
 /// # Errors
 ///
@@ -547,10 +546,11 @@ pub(crate) fn compute_dwell_table_detailed(
 /// The naive dwell search: every wait/dwell schedule is re-simulated
 /// end-to-end through [`SwitchedApplication::simulate_modes`].
 ///
-/// This is the **oracle** the fast engine is verified against (it is also
-/// what the engine's complexity is benchmarked against in
-/// `BENCH_dwell.json`). It is kept simple on purpose: no checkpointing, no
-/// early exit, no parallelism.
+/// This is the **oracle** the fast engine is verified against: the root
+/// `tests/engine_oracle.rs` asserts equal tables and surfaces on the case
+/// study (at every backend and thread count) and on randomized plants. It
+/// is kept simple on purpose: no checkpointing, no early exit, no
+/// parallelism.
 pub mod reference {
     use super::{
         table_row, validate_surface_bounds, DwellSearchOptions, DwellTimeTable, SettlingSurface,

@@ -10,8 +10,8 @@
 //!   augmented dimension fits the compile-time menu (2–5, covering every
 //!   case-study plant) and the `static-backend` feature is enabled, falling
 //!   back to the heap-backed [`DynBackend`] otherwise. The forced variants
-//!   exist so benches and tests can pit the two implementations against each
-//!   other on identical workloads.
+//!   exist so tests can pit the two implementations against each other on
+//!   identical workloads.
 //! - [`ModeKernel`] owns the per-application matrices and cursor buffers for
 //!   one backend: a monomorphized simulate/advance core with no per-sample
 //!   heap allocation and, on the static path, no runtime bounds dispatch.
@@ -39,7 +39,7 @@ pub enum BackendChoice {
     /// Use the static fast path when the augmented dimension is in
     /// `2..=5` and the `static-backend` feature is enabled; otherwise the
     /// heap-backed dynamic backend. This is the right choice everywhere
-    /// except backend-comparison benches.
+    /// except backend-equivalence tests.
     #[default]
     Auto,
     /// Always use the heap-backed [`DynBackend`].

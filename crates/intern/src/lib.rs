@@ -32,8 +32,8 @@
 //!
 //! Every structure counts its own work ([`IndexStats`], [`TtStats`]): probes,
 //! cached-hash hits and skips, growth re-buckets and replacements, which the
-//! engines surface through `VerifyStats` / `TierStats` and the `BENCH_*.json`
-//! reports.
+//! engines surface through `VerifyStats` / `TierStats`, `perfbench`'s
+//! `verify.*` and `map.*` per-layer metrics, and `BENCH_reach.json`.
 //!
 //! For long-running services the containers also persist: [`snapshot`]
 //! defines a versioned, dependency-free binary format (magic, kind tag,

@@ -23,8 +23,9 @@
 //! inputs: all default method bodies fix the floating-point accumulation order
 //! (ascending index, folding from `0.0`, no FMA contraction), and overrides
 //! must preserve it. The conformance suite in `tests/backend_conformance.rs`
-//! and the bench harnesses assert `f64::to_bits` equality between backends on
-//! every run, the same discipline as the engine-vs-oracle checks elsewhere in
+//! asserts `f64::to_bits` equality between backends, and the dwell and
+//! co-simulation oracle tests pin both backends of those engines to their
+//! oracles — the same discipline as the engine-vs-oracle checks elsewhere in
 //! the workspace.
 //!
 //! # Adding a new backend (e.g. faer or nalgebra)

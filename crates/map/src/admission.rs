@@ -32,8 +32,8 @@
 //!
 //! Most re-placed probes hit the cascade's memo (the suffix was placed
 //! before, and verdicts are keyed canonically), so repair cost is dominated
-//! by the genuinely new queries — the incremental win the `bench_admit` soak
-//! measures.
+//! by the genuinely new queries — the incremental win `perfbench`'s
+//! `admission_churn` workload measures.
 //!
 //! # Warm starts
 //!

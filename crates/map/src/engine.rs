@@ -70,7 +70,8 @@
 //! Every tier is exact — sound rejections above, sound accepts below — so
 //! cascade-equipped first-fit produces *bit-identical* partitions to plain
 //! first-fit over [`crate::ModelCheckingOracle`] (asserted by property tests
-//! and on every `bench_map` run).
+//! in `tests/engine_oracle.rs`; `perfbench` gates the published case-study
+//! partition on every op).
 //!
 //! The tiers themselves live in the crate-internal `cascade` module as a
 //! persistent `CascadeCore` operating on borrowed state; this engine is the *batch*
@@ -244,7 +245,7 @@ impl MapExplorerEngine {
     /// order as [`MapExplorerEngine::first_fit`] and [`crate::reference`],
     /// so engine and reference verdicts are directly comparable; slot-count
     /// equivalence against [`crate::reference::minimize_slots`] is asserted
-    /// in tests and on every `bench_map` run.
+    /// in `tests/engine_oracle.rs` and by `perfbench`'s `fleet_sweep` gate.
     ///
     /// # Parallel search
     ///

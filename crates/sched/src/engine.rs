@@ -34,8 +34,8 @@
 //! the scheduler itself is shared verbatim, so every [`CosimResult`] is
 //! **bitwise identical** to the oracle's — trajectories, settling times and
 //! schedule alike. `tests/engine_oracle.rs` asserts that on unit and
-//! randomized scenarios, and `cps-bench/bench_cosim` re-asserts it on every
-//! benchmark run.
+//! randomized scenarios, and on the case-study slot families under every
+//! [`BackendChoice`].
 //!
 //! # Example
 //!
@@ -158,8 +158,8 @@ impl BatchCosimEngine {
     }
 
     /// [`BatchCosimEngine::new`] on an explicitly chosen linalg backend for
-    /// every application kernel (used by the bench harness to compare the
-    /// dynamic and static stepping paths on the same scenario family).
+    /// every application kernel (pins the dynamic or the static stepping
+    /// path on the same scenario family).
     ///
     /// # Errors
     ///
@@ -433,8 +433,7 @@ fn advance_window(
 /// Asserts that two co-simulation results are equal down to the bit level:
 /// full structural equality plus `to_bits` equality of every output sample
 /// (`==` on `f64` would accept `0.0 == -0.0`). Shared by the oracle-
-/// equivalence tests and the `bench_cosim` harness; panics with `label` on
-/// the first divergence.
+/// equivalence tests; panics with `label` on the first divergence.
 #[doc(hidden)]
 pub fn assert_bitwise_equal(label: &str, fast: &CosimResult, oracle: &CosimResult) {
     assert_eq!(fast, oracle, "{label}: engine/oracle results differ");

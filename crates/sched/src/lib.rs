@@ -20,7 +20,7 @@
 //!   allocation-free kernels from checkpointed states, and scenarios that
 //!   agree on a prefix of arbiter grants only re-simulate their diverging
 //!   suffix. Bitwise identical to the oracle (asserted in
-//!   `tests/engine_oracle.rs` and on every `bench_cosim` run).
+//!   `tests/engine_oracle.rs`, on the case-study slot families too).
 //! * [`scenarios`] — generators for such families (contention sweeps,
 //!   staggered fleets, recurrent-disturbance storms).
 //!

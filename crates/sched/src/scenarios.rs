@@ -6,7 +6,8 @@
 //! samples) ordered so that **neighbouring scenarios agree on a prefix of
 //! arbiter grants** — exactly what [`crate::BatchCosimEngine`]'s checkpoint
 //! sharing exploits. The same families drive the scheduler-invariant
-//! property tests and `cps-bench/bench_cosim`.
+//! property tests, the engine-vs-oracle tests and `perfbench`'s
+//! `case_study_dimensioning` workload.
 
 use cps_core::AppTimingProfile;
 

@@ -1,7 +1,9 @@
 //! Engine-vs-oracle equivalence: [`BatchCosimEngine`] must produce results
 //! **bitwise identical** to the retained [`CosimScenario::run`] oracle on
 //! single-disturbance scenarios, and to the naive windowed reference
-//! ([`engine::reference_pattern`]) on recurrent patterns.
+//! ([`engine::reference_pattern`]) on recurrent patterns — under every
+//! linalg backend choice, on small demo plants and on the paper's published
+//! slots.
 //!
 //! Scenarios are drawn pseudo-randomly (via the offline proptest stub's
 //! deterministic RNG) so every run covers the same structurally diverse
@@ -9,8 +11,9 @@
 //! scenarios so checkpoint sharing across differing prefixes is exercised,
 //! not just cold runs.
 
+use cps_apps::case_study::{self, SLOT1_MEMBERS, SLOT2_MEMBERS};
 use cps_control::{StateFeedback, StateSpace};
-use cps_core::{AppTimingProfile, DwellTimeTable, SwitchedApplication};
+use cps_core::{AppTimingProfile, BackendChoice, DwellTimeTable, SwitchedApplication};
 use cps_sched::cosim::{CosimApp, CosimScenario};
 use cps_sched::{engine, scenarios, BatchCosimEngine, CosimResult};
 use proptest::prelude::*;
@@ -63,6 +66,26 @@ fn demo_apps() -> Vec<CosimApp> {
     ]
 }
 
+/// The applications of one published slot with their published Table 1
+/// profiles, in the slot's member order.
+fn case_study_slot(members: &[&str]) -> Vec<CosimApp> {
+    let apps = case_study::all_applications().unwrap();
+    members
+        .iter()
+        .map(|name| {
+            let app = apps
+                .iter()
+                .find(|a| a.application().name() == *name)
+                .unwrap();
+            CosimApp {
+                application: app.application().clone(),
+                profile: app.paper_row().to_profile(name).unwrap(),
+                disturbance_sample: 0,
+            }
+        })
+        .collect()
+}
+
 use cps_sched::engine::assert_bitwise_equal;
 
 /// Runs the oracle for a staggered scenario (one disturbance per app).
@@ -96,31 +119,64 @@ fn engine_matches_oracle_on_unit_scenarios() {
     }
 }
 
+/// Every backend choice: under default features `Auto` is the static path
+/// wherever it fits, so the heap path is reached only when forced.
+const BACKENDS: [BackendChoice; 3] = [
+    BackendChoice::Auto,
+    BackendChoice::ForceDyn,
+    BackendChoice::ForceStatic,
+];
+
 #[test]
 fn engine_matches_oracle_on_generated_families() {
-    let apps = demo_apps();
-    let horizon = 100;
-    let mut engine = BatchCosimEngine::new(apps.clone(), horizon).unwrap();
-    let mut families = scenarios::contention_sweep(&[0, 0, 12], 2, 0..10);
-    families.extend(scenarios::staggered_fleet(3, 7, 0..8));
-    let results = engine.run_batch(&families).unwrap();
-    for (pattern, fast) in families.iter().zip(results.iter()) {
-        let t0s: Vec<usize> = pattern.iter().map(|times| times[0]).collect();
-        let oracle = oracle_staggered(&apps, horizon, &t0s);
-        assert_bitwise_equal(&format!("{t0s:?}"), fast, &oracle);
+    let demo = demo_apps();
+    let mut demo_family = scenarios::contention_sweep(&[0, 0, 12], 2, 0..10);
+    demo_family.extend(scenarios::staggered_fleet(3, 7, 0..8));
+    // The paper's slot S1 under the contention sweep and the staggered
+    // fleet: C3's arrival swept across the opening burst, and the whole
+    // arrival pattern slid along the horizon.
+    let slot1 = case_study_slot(&SLOT1_MEMBERS);
+    let mut slot1_family = scenarios::contention_sweep(&[0, 0, 0, 0], 3, 0..48);
+    slot1_family.extend(scenarios::staggered_fleet(slot1.len(), 6, 0..60));
+    for (apps, horizon, families) in [(&demo, 100, demo_family), (&slot1, 420, slot1_family)] {
+        let oracles: Vec<CosimResult> = families
+            .iter()
+            .map(|pattern| {
+                let t0s: Vec<usize> = pattern.iter().map(|times| times[0]).collect();
+                oracle_staggered(apps, horizon, &t0s)
+            })
+            .collect();
+        for backend in BACKENDS {
+            let mut engine =
+                BatchCosimEngine::with_backend(apps.clone(), horizon, backend).unwrap();
+            let results = engine.run_batch(&families).unwrap();
+            for (index, (fast, oracle)) in results.iter().zip(&oracles).enumerate() {
+                assert_bitwise_equal(&format!("[{index}] {backend:?}"), fast, oracle);
+            }
+        }
     }
 }
 
 #[test]
 fn engine_matches_windowed_reference_on_recurrent_patterns() {
-    let apps = demo_apps();
-    let horizon = 140;
-    let profiles: Vec<AppTimingProfile> = apps.iter().map(|a| a.profile.clone()).collect();
-    let mut engine = BatchCosimEngine::new(apps.clone(), horizon).unwrap();
-    for pattern in scenarios::recurrent_storm(&profiles, horizon, 0..6) {
-        let fast = engine.run(&pattern).unwrap();
-        let oracle = engine::reference_pattern(&apps, horizon, &pattern).unwrap();
-        assert_bitwise_equal(&format!("{pattern:?}"), &fast, &oracle);
+    // The demo family, and the paper's slot S2 with C2 and C6 re-disturbed
+    // at their fastest admissible rate.
+    let slot2 = case_study_slot(&SLOT2_MEMBERS);
+    for (apps, horizon, phases) in [(demo_apps(), 140, 0..6), (slot2, 800, 0..48)] {
+        let profiles: Vec<AppTimingProfile> = apps.iter().map(|a| a.profile.clone()).collect();
+        let storm = scenarios::recurrent_storm(&profiles, horizon, phases);
+        let oracles: Vec<CosimResult> = storm
+            .iter()
+            .map(|pattern| engine::reference_pattern(&apps, horizon, pattern).unwrap())
+            .collect();
+        for backend in BACKENDS {
+            let mut engine =
+                BatchCosimEngine::with_backend(apps.clone(), horizon, backend).unwrap();
+            for (pattern, oracle) in storm.iter().zip(&oracles) {
+                let fast = engine.run(pattern).unwrap();
+                assert_bitwise_equal(&format!("{pattern:?} {backend:?}"), &fast, oracle);
+            }
+        }
     }
 }
 

@@ -25,8 +25,8 @@
 //!   scheduler and the dwell-time strategy applied deterministically in
 //!   every state. Retained as the semantic oracle (re-exported as
 //!   [`reference`]); engine and oracle verdicts, budget semantics and
-//!   witness validity are asserted equivalent in tests and on every
-//!   `bench_verify` run.
+//!   witness validity are asserted equivalent in `tests/engine_oracle.rs`,
+//!   on random models and on the case-study slot models.
 //! * [`bounded`] — the paper's acceleration: restricting each application to
 //!   a bounded number of disturbance instances per analysis, which collapses
 //!   the post-rejection bookkeeping and speeds verification up by an order of

@@ -1,4 +1,5 @@
-//! Engine-vs-oracle equivalence on randomized slot-sharing models.
+//! Engine-vs-oracle equivalence on randomized slot-sharing models and on
+//! the paper's case-study slot models.
 //!
 //! The interned-state [`SlotVerifyEngine`] must agree with the retained
 //! naive checker ([`cps_verify::reference`]) on verdicts and budget
@@ -10,6 +11,7 @@
 //! diverse cases, with duplicated profiles appearing in every adjacency
 //! pattern to exercise the symmetry reduction.
 
+use cps_apps::case_study;
 use cps_core::{AppTimingProfile, DwellTimeTable};
 use cps_verify::bounded::{sufficient_instance_bound, verify_accelerated};
 use cps_verify::{
@@ -59,26 +61,37 @@ fn random_model(seed: u64) -> SlotSharingModel {
     SlotSharingModel::new(profiles).unwrap()
 }
 
+/// The engine/oracle contract on one model and configuration: equal
+/// verdicts, never more popped states (exactly as many without
+/// interchangeable neighbours), and replayable witnesses on both sides.
+fn assert_equivalent(
+    engine: &mut SlotVerifyEngine,
+    model: &SlotSharingModel,
+    config: &VerificationConfig,
+) {
+    let oracle = reference::verify(model, config).unwrap();
+    let fast = engine.verify(model, config).unwrap();
+    assert_eq!(fast.schedulable(), oracle.schedulable());
+    assert!(fast.states_explored() <= oracle.states_explored());
+    if !has_interchangeable_neighbors(model) {
+        // Without interchangeable neighbours the engine explores the
+        // oracle's graph in the oracle's order: identical popped counts pin
+        // the shared budget semantics.
+        assert_eq!(fast.states_explored(), oracle.states_explored());
+    }
+    assert_eq!(fast.witness().is_some(), oracle.witness().is_some());
+    for witness in [fast.witness(), oracle.witness()].into_iter().flatten() {
+        validate_witness(model, witness).unwrap();
+    }
+}
+
 proptest! {
     #[test]
     fn engine_matches_oracle_on_random_models(seed in 0u64..1_000_000) {
         let model = random_model(seed);
         let mut engine = SlotVerifyEngine::new();
         for config in [VerificationConfig::unbounded(), VerificationConfig::bounded(2)] {
-            let oracle = reference::verify(&model, &config).unwrap();
-            let fast = engine.verify(&model, &config).unwrap();
-            prop_assert_eq!(fast.schedulable(), oracle.schedulable());
-            prop_assert!(fast.states_explored() <= oracle.states_explored());
-            if !has_interchangeable_neighbors(&model) {
-                // Without interchangeable neighbours the engine explores the
-                // oracle's graph in the oracle's order: identical popped
-                // counts pin the shared budget semantics.
-                prop_assert_eq!(fast.states_explored(), oracle.states_explored());
-            }
-            prop_assert_eq!(fast.witness().is_some(), oracle.witness().is_some());
-            for witness in [fast.witness(), oracle.witness()].into_iter().flatten() {
-                validate_witness(&model, witness).unwrap();
-            }
+            assert_equivalent(&mut engine, &model, &config);
         }
     }
 
@@ -153,6 +166,32 @@ proptest! {
             } else {
                 by_sequence.push((key, fast.schedulable(), fast.states_explored()));
             }
+        }
+    }
+}
+
+#[test]
+fn engine_matches_oracle_on_the_case_study_slot_models() {
+    // The paper's second slot and the first three members of its first,
+    // exact and under the sufficient instance bound, on published Table 1
+    // profiles.
+    let apps = case_study::all_applications().unwrap();
+    let mut engine = SlotVerifyEngine::new();
+    for names in [["C6", "C2"].as_slice(), &["C1", "C5", "C4"]] {
+        let profiles = names
+            .iter()
+            .map(|name| {
+                let app = apps.iter().find(|a| a.application().name() == *name);
+                app.unwrap().paper_row().to_profile(name).unwrap()
+            })
+            .collect();
+        let model = SlotSharingModel::new(profiles).unwrap();
+        let bound = sufficient_instance_bound(&model);
+        for config in [
+            VerificationConfig::unbounded(),
+            VerificationConfig::bounded(bound),
+        ] {
+            assert_equivalent(&mut engine, &model, &config);
         }
     }
 }

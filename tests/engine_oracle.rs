@@ -1,11 +1,12 @@
 //! Oracle-equivalence tests: the prefix-sharing dwell engine must reproduce
 //! the naive exhaustive search **exactly** — the same `Option<usize>` in
-//! every settling cell — on the paper's case study and on randomized plants.
+//! every settling cell — on the paper's case study (on both linalg backends)
+//! and on randomized plants.
 
 use cps_apps::case_study;
 use cps_control::{StateFeedback, StateSpace};
 use cps_core::dwell::{self, reference, DwellSearchOptions};
-use cps_core::SwitchedApplication;
+use cps_core::{BackendChoice, SwitchedApplication};
 use cps_linalg::{eigen, Matrix, Vector};
 
 #[test]
@@ -25,6 +26,19 @@ fn case_study_dwell_tables_match_reference_exactly() {
             "{}: dwell table diverges from oracle",
             a.name()
         );
+        // Under default features `Auto` picks the static kernels for every
+        // case-study plant, so their heap path is reached only here.
+        for backend in [BackendChoice::ForceDyn, BackendChoice::ForceStatic] {
+            let forced =
+                dwell::compute_dwell_table_with_backend(a, app.jstar(), options, 1, backend)
+                    .unwrap();
+            assert_eq!(
+                forced,
+                naive,
+                "{}: {backend:?} dwell table diverges from oracle",
+                a.name()
+            );
+        }
     }
 }
 
